@@ -13,7 +13,7 @@ use crate::runtime::{ClusterPlan, NodeConfig, NodeRuntime, SilenceTimeout};
 use crate::transport::{channel_mesh, tcp_mesh, Transport};
 use bneck_core::{RecoveryConfig, RecoveryStats};
 use bneck_maxmin::{compare_allocations, CentralizedBneck, RateLimit, SessionId, Tolerance};
-use bneck_net::{Capacity, Delay, Network, NetworkBuilder, Path};
+use bneck_net::{Capacity, Delay, Network, NetworkBuilder, Path, Router};
 use std::fmt;
 use std::io;
 use std::time::Duration;
@@ -80,8 +80,13 @@ impl Default for ClusterSpec {
 pub struct ClusterReport {
     /// The spec the run used.
     pub spec: ClusterSpec,
-    /// Frames handed to transports between join and shutdown-begin.
+    /// Frames handed to transports between join and shutdown-begin. Only
+    /// cross-node hops and API calls travel as frames; see `packets` for
+    /// the protocol's whole work.
     pub frames: u64,
+    /// Protocol packets the nodes transmitted in total, same-node hops
+    /// included (summed [`NodeOutcome::stats`](crate::runtime::NodeOutcome::stats)).
+    pub packets: u64,
     /// Throughput over the join → silent interval.
     pub frames_per_sec: f64,
     /// Wall time from the first join frame to the counters first matching.
@@ -116,9 +121,11 @@ impl fmt::Display for ClusterReport {
         )?;
         writeln!(
             f,
-            "  frames={} ({:.0} frames/s) join->silent={:.3}s silent=confirmed(settle {:?})",
+            "  frames={} ({:.0} frames/s) packets={} ({:.2}/session) join->silent={:.3}s silent=confirmed(settle {:?})",
             self.frames,
             self.frames_per_sec,
+            self.packets,
+            self.packets as f64 / self.spec.sessions as f64,
             self.join_to_silent.as_secs_f64(),
             self.spec.settle,
         )?;
@@ -205,12 +212,15 @@ pub fn build_cluster_topology(spec: &ClusterSpec) -> (Network, Vec<(SessionId, P
         hosts.push((src, dst));
     }
     let network = builder.build();
+    // Every path is unique on a chain, so the per-router tree cache returns
+    // exactly the shortest paths, at one router-graph search per router.
+    let mut router = Router::new(&network);
     let sessions = hosts
         .into_iter()
         .enumerate()
         .map(|(i, (src, dst))| {
-            let path = network
-                .shortest_path(src, dst)
+            let path = router
+                .host_path_cached(src, dst)
                 .expect("the chain is connected");
             (SessionId(i as u64), path, RateLimit::unlimited())
         })
@@ -259,6 +269,7 @@ pub fn run_cluster(spec: ClusterSpec) -> Result<ClusterReport, ClusterError> {
         .map(|node| runtime.drain_events(node).len())
         .sum();
     let outcomes = runtime.shutdown();
+    let packets = outcomes.iter().map(|o| o.stats.total()).sum();
     let decode_errors = outcomes.iter().map(|o| o.decode_errors).sum();
     let transport_errors = outcomes.iter().map(|o| o.transport_errors).sum();
     let recovery = spec.recovery.map(|_| {
@@ -281,6 +292,7 @@ pub fn run_cluster(spec: ClusterSpec) -> Result<ClusterReport, ClusterError> {
         } else {
             0.0
         },
+        packets,
         join_to_silent,
         mismatches,
         rate_events,
@@ -288,4 +300,24 @@ pub fn run_cluster(spec: ClusterSpec) -> Result<ClusterReport, ClusterError> {
         transport_errors,
         recovery,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn topology_paths_are_the_networks_shortest_paths() {
+        let spec = ClusterSpec {
+            routers: 5,
+            sessions: 40,
+            long_every: 3,
+            ..ClusterSpec::default()
+        };
+        let (network, sessions) = build_cluster_topology(&spec);
+        for (_, path, _) in &sessions {
+            let shortest = network.shortest_path(path.source(), path.destination());
+            assert_eq!(Some(path), shortest.as_ref());
+        }
+    }
 }

@@ -24,6 +24,20 @@
 //! instead: a global `sent` counter is incremented *before* a frame is
 //! handed to the transport and a global `received` counter *after* the
 //! receiver has fully processed it (cascaded local deliveries included).
+//!
+//! A worker runs one loop over one FIFO of pending local deliveries, and its
+//! transport inbox is just another source for that FIFO: before every
+//! dispatch it decodes each blob already waiting into the queue, and it
+//! blocks on the transport only when the queue is empty. Concurrent joins
+//! and probe cycles therefore overlap on a node as they do in the simulator,
+//! instead of each arriving frame's whole cascade running before the next
+//! frame is read. Blobs are credited to `received` in bulk, by the number
+//! taken in since the queue was last empty, and only at the moment it
+//! empties: an empty queue means every cascade those blobs started has
+//! finished, each action having been dispatched locally or sent as a new
+//! frame already counted in `sent`. A blob that fails to decode is credited
+//! like any other.
+//!
 //! The coordinator reads `received` first, then `sent`: since
 //! `received ≤ sent` always, reading `received = r` and then `sent = s`
 //! with `r == s` proves every frame sent up to that point was fully
@@ -275,12 +289,38 @@ impl NodeWorker {
         SimTime::from_nanos(self.start.elapsed().as_nanos() as u64)
     }
 
+    /// The receive loop. The transport inbox is one more source for the
+    /// `pending` FIFO: before every dispatch, every blob already waiting is
+    /// decoded into the queue, so arrivals interleave with local cascades
+    /// instead of queueing behind them. The worker blocks only when there is
+    /// nothing left to dispatch.
     fn run(mut self) -> NodeOutcome {
-        while !self.done {
-            match self.transport.recv_timeout(self.poll) {
-                Ok(Some(bytes)) => self.handle_wire(&bytes),
-                Ok(None) => {}
-                Err(_) => break,
+        // Blobs taken in since `pending` was last empty; credited to
+        // `received` only once it empties again (see the module docs).
+        let mut uncredited = 0u64;
+        'run: while !self.done {
+            if self.pending.is_empty() && uncredited > 0 {
+                self.shared.received.fetch_add(uncredited, Ordering::SeqCst);
+                uncredited = 0;
+            }
+            let mut wait = if self.pending.is_empty() {
+                self.poll
+            } else {
+                Duration::ZERO
+            };
+            while !self.done {
+                match self.transport.recv_timeout(wait) {
+                    Ok(Some(bytes)) => {
+                        self.decode_wire(&bytes);
+                        uncredited += 1;
+                        wait = Duration::ZERO;
+                    }
+                    Ok(None) => break,
+                    Err(_) => break 'run,
+                }
+            }
+            if let Some((target, packet)) = self.pending.pop_front() {
+                self.dispatch(target, packet);
             }
             self.fire_due_retransmits();
         }
@@ -293,30 +333,23 @@ impl NodeWorker {
         }
     }
 
-    /// Processes one blob delivered by the transport. The `received` counter
-    /// is incremented only after the cascade of local deliveries the frame
-    /// triggered has fully drained — the ordering the silence argument needs.
-    fn handle_wire(&mut self, mut bytes: &[u8]) {
+    /// Decodes one blob delivered by the transport and hands each frame to
+    /// [`Self::handle_frame`]; packets it carries join the `pending` queue.
+    fn decode_wire(&mut self, mut bytes: &[u8]) {
         while !bytes.is_empty() {
             match codec::decode_frame(bytes) {
                 Ok(Some((from, frame, consumed))) => {
                     bytes = &bytes[consumed..];
                     self.handle_frame(from, frame);
-                    self.drain_pending();
                 }
-                Ok(None) => {
-                    // A truncated tail: the transport only delivers whole
-                    // frames, so this is corruption.
-                    self.decode_errors += 1;
-                    break;
-                }
-                Err(_) => {
+                // A truncated tail (the transport only delivers whole frames)
+                // or a malformed frame: corruption either way.
+                Ok(None) | Err(_) => {
                     self.decode_errors += 1;
                     break;
                 }
             }
         }
-        self.shared.received.fetch_add(1, Ordering::SeqCst);
     }
 
     fn handle_frame(&mut self, from: u16, frame: WireFrame) {
@@ -437,16 +470,6 @@ impl NodeWorker {
             self.perform(NodeTarget::Source(slot), session, action);
         }
         self.scratch = actions;
-    }
-
-    /// Dispatches queued local deliveries until none remain. Every action a
-    /// handler emits either re-enters this queue (same-node target) or goes
-    /// out through the transport, so the cascade terminates exactly when the
-    /// protocol stops talking.
-    fn drain_pending(&mut self) {
-        while let Some((target, packet)) = self.pending.pop_front() {
-            self.dispatch(target, packet);
-        }
     }
 
     fn dispatch(&mut self, target: NodeTarget, packet: bneck_core::Packet) {
